@@ -334,8 +334,8 @@ fn sigkill_socket_daemon_mid_outage_recovers_to_a_byte_equal_report() {
         lines
             .iter()
             .map(|line| {
-                writeln!(w, "{line}").expect("send");
-                w.flush().expect("flush");
+                // the whole line in one write, as a closed-loop client
+                w.write_all(format!("{line}\n").as_bytes()).expect("send");
                 let mut reply = String::new();
                 r.read_line(&mut reply).expect("reply");
                 assert!(!reply.is_empty(), "daemon hung up on: {line}");

@@ -15,6 +15,11 @@
 //! grant order, which is what lets the daemon keep the determinism
 //! contract at any pool size.
 //!
+//! Wakes are only paid for when someone waits: a grant or a release
+//! notifies the condvar only while an issued ticket is still unserved,
+//! so an uncontended acquire/release pair costs two lock round trips
+//! and no wake.
+//!
 //! ```
 //! use inrpp_runner::SlotPool;
 //!
@@ -41,6 +46,18 @@ struct SlotState {
     serving: u64,
     /// Total slots ever granted.
     grants: u64,
+}
+
+impl SlotState {
+    /// Wake the blocked callers, if there are any. Every waiter holds an
+    /// issued ticket that is not yet served, and tickets are only taken
+    /// and served under the pool lock, so skipping the notify when none
+    /// is outstanding cannot lose a wakeup.
+    fn wake_waiters(&self, cv: &Condvar) {
+        if self.next_ticket > self.serving {
+            cv.notify_all();
+        }
+    }
 }
 
 /// A fixed complement of worker slots with FIFO-fair blocking admission.
@@ -104,7 +121,7 @@ impl SlotPool {
         s.free -= 1;
         s.grants += 1;
         // the next ticket may already be admissible (free > 0)
-        self.cv.notify_all();
+        s.wake_waiters(&self.cv);
         SlotGuard { pool: self }
     }
 
@@ -112,7 +129,7 @@ impl SlotPool {
         let mut s = self.state.lock().expect("slot pool poisoned");
         s.free += 1;
         debug_assert!(s.free <= self.slots, "slot over-release");
-        self.cv.notify_all();
+        s.wake_waiters(&self.cv);
     }
 }
 
@@ -207,5 +224,47 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn conditional_wakes_lose_no_waiter_under_contention() {
+        // tight acquire/release loops with no work inside: a skipped
+        // notify that stranded a ticket would hang a thread forever, so
+        // every run must finish well inside the deadline
+        const THREADS: u64 = 8;
+        const CYCLES: u64 = 2_000;
+        for slots in [1usize, 2] {
+            let pool = Arc::new(SlotPool::new(slots));
+            let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (pool, start, done_tx) = (pool.clone(), start.clone(), done_tx.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for _ in 0..CYCLES {
+                            let _g = pool.acquire();
+                            std::thread::yield_now(); // let others queue up
+                        }
+                        done_tx.send(()).unwrap();
+                    })
+                })
+                .collect();
+            // wait on the channel, not join(): a stranded thread must
+            // fail the test instead of hanging it
+            let deadline = std::time::Instant::now() + Duration::from_secs(60);
+            for _ in 0..THREADS {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                done_rx
+                    .recv_timeout(left)
+                    .unwrap_or_else(|_| panic!("lost wakeup: pool of {slots} stalled"));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(pool.grants(), THREADS * CYCLES);
+            assert_eq!(pool.free(), slots);
+            assert_eq!(pool.waiters(), 0);
+        }
     }
 }

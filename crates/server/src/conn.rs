@@ -14,9 +14,15 @@
 //! driver returns — so a client that saw a `close` reply (or the daemon
 //! that saw the connection end) knows the session's checkpoint
 //! directory, trace handle, and worker-slot claims are released.
+//!
+//! Framing: one request line in, one reply line out, and every reply
+//! leaves in a single `write_all` of its body plus `\n`, so no
+//! transport ever sees a reply split across writes. Request lines are
+//! capped at [`MAX_LINE_BYTES`]; a longer line gets a typed `limit`
+//! error and ends the connection, tearing its sessions down as on EOF.
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -27,20 +33,35 @@ use crate::protocol::{
     parse_object, str_field, OpenSpec,
 };
 
-/// Serve one client until EOF, `exit`, or `shutdown`. All open sessions
-/// are torn down (aborted and joined) before this returns.
+/// The longest request line [`drive_conn`] reads, in bytes before the
+/// newline (1 MiB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Serve one client until EOF, `exit`, `shutdown`, or an over-long
+/// request line. All open sessions are torn down (aborted and joined)
+/// before this returns.
 pub fn drive_conn(
     input: &mut dyn BufRead,
     out: &mut dyn Write,
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
     let mut sessions: BTreeMap<String, SessionHandle> = BTreeMap::new();
-    let mut line = String::new();
+    let mut buf = Vec::new();
     loop {
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
+        buf.clear();
+        let n = (&mut *input)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)?;
+        if n == 0 {
             return Ok(()); // EOF: SessionHandle::drop aborts + joins
         }
+        if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            reply(out, err_reply("limit", &msg))?;
+            return Ok(()); // as on EOF: SessionHandle::drop aborts + joins
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -148,8 +169,10 @@ pub fn drive_conn(
     }
 }
 
-fn reply(out: &mut dyn Write, r: String) -> io::Result<()> {
-    writeln!(out, "{r}")?;
+/// Send one reply line in a single write.
+fn reply(out: &mut dyn Write, mut r: String) -> io::Result<()> {
+    r.push('\n');
+    out.write_all(r.as_bytes())?;
     out.flush()
 }
 
@@ -232,10 +255,12 @@ fn stats_reply(shared: &Shared, sessions: &BTreeMap<String, SessionHandle>) -> S
 
 #[cfg(test)]
 mod tests {
-    use crate::daemon::{serve_lines, serve_lines_with};
+    use super::{drive_conn, MAX_LINE_BYTES};
+    use crate::daemon::{serve_lines, serve_lines_with, Daemon, DaemonConfig};
     use crate::host::list_checkpoints;
     use std::fs;
-    use std::io::Cursor;
+    use std::io::{self, Cursor};
+    use std::sync::atomic::Ordering;
 
     fn run(script: &str) -> Vec<String> {
         let mut input = Cursor::new(script.to_string());
@@ -841,5 +866,121 @@ mod tests {
             "\n",
         ));
         assert!(!off.iter().any(|r| r.contains("probe_fp")), "{off:?}");
+    }
+
+    // ===============================================================
+    // framing and the request-line cap
+    // ===============================================================
+
+    /// Keeps every `write` call it receives as one entry.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl io::Write for WriteLog {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn drive(input: &mut dyn io::BufRead) -> (WriteLog, Daemon) {
+        let daemon = Daemon::new(DaemonConfig { workers: 1 });
+        let mut log = WriteLog::default();
+        drive_conn(input, &mut log, daemon.shared()).expect("drive loop");
+        (log, daemon)
+    }
+
+    #[test]
+    fn every_reply_is_exactly_one_write() {
+        let script = concat!(
+            r#"{"cmd":"hello","seq":1}"#,
+            "\n",
+            "not json\n", // parse
+            r#"{"cmd":"advance","to_secs":1}"#,
+            "\n", // state (no session)
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+            r#"{"cmd":"teleport"}"#,
+            "\n", // unknown_cmd
+            r#"{"cmd":"advance","to_secs":1,"sid":"x"}"#,
+            "\n", // state (no such sid)
+            r#"{"cmd":"advance","to_secs":1}"#,
+            "\n",
+            r#"{"cmd":"stats","seq":2}"#,
+            "\n",
+            r#"{"cmd":"shutdown"}"#,
+            "\n",
+        );
+        let (log, _daemon) = drive(&mut Cursor::new(script));
+        let writes: Vec<String> = log
+            .0
+            .into_iter()
+            .map(|w| String::from_utf8(w).expect("utf8 reply"))
+            .collect();
+        assert_eq!(writes.len(), 9, "one write per reply: {writes:?}");
+        for w in &writes {
+            assert!(w.ends_with('\n'), "a write ends its line: {w:?}");
+            assert_eq!(w.matches('\n').count(), 1, "one line per write: {w:?}");
+        }
+        assert!(writes[0].contains("\"event\":\"hello\""), "{}", writes[0]);
+        assert_kind(&writes[1], "parse");
+        assert_kind(&writes[2], "state");
+        assert_ok(&writes[3]);
+        assert_kind(&writes[4], "unknown_cmd");
+        assert_kind(&writes[5], "state");
+        assert_ok(&writes[6]);
+        assert!(writes[7].contains("\"event\":\"stats\""), "{}", writes[7]);
+        assert!(
+            writes[8].contains("\"event\":\"shutdown\""),
+            "{}",
+            writes[8]
+        );
+    }
+
+    #[test]
+    fn over_long_line_is_a_limit_error_that_ends_the_connection() {
+        let open = concat!(
+            r#"{"cmd":"open","engine":"fluid","topology":"fig3","strategy":"urp","horizon_secs":5}"#,
+            "\n",
+        );
+        // 2 MiB with no newline, then a request that must never be read
+        let mut script = open.as_bytes().to_vec();
+        script.resize(open.len() + 2 * MAX_LINE_BYTES, b'x');
+        script.extend_from_slice(b"\n{\"cmd\":\"hello\"}\n");
+        let mut input = Cursor::new(script);
+        let (log, daemon) = drive(&mut input);
+        assert_eq!(log.0.len(), 2, "open reply, then the limit error");
+        assert_ok(std::str::from_utf8(&log.0[0]).unwrap());
+        let limit = std::str::from_utf8(&log.0[1]).unwrap();
+        assert_kind(limit, "limit");
+        // the cap bounds what was read: one byte past the limit
+        assert_eq!(
+            input.position(),
+            (open.len() + MAX_LINE_BYTES + 1) as u64,
+            "reading stops at the cap"
+        );
+        // the open session was torn down as on EOF
+        let stats = &daemon.shared().stats;
+        assert_eq!(stats.sessions_opened.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.sessions_closed.load(Ordering::Relaxed), 1);
+        assert_eq!(daemon.shared().pool.free(), 1);
+    }
+
+    #[test]
+    fn a_line_at_the_cap_is_still_a_request() {
+        // exactly MAX_LINE_BYTES before the newline is within the cap:
+        // it is parsed (and rejected as JSON) and the connection goes on
+        let mut script = vec![b'x'; MAX_LINE_BYTES];
+        script.extend_from_slice(b"\n{\"cmd\":\"hello\"}\n");
+        let (log, _daemon) = drive(&mut Cursor::new(script));
+        assert_eq!(log.0.len(), 2);
+        assert_kind(std::str::from_utf8(&log.0[0]).unwrap(), "parse");
+        assert!(std::str::from_utf8(&log.0[1])
+            .unwrap()
+            .contains("\"event\":\"hello\""));
     }
 }

@@ -469,7 +469,8 @@ pub fn secs_to_time(secs: f64) -> Result<SimTime, SessionError> {
 
 /// An error reply with a machine-readable `kind`: `parse`,
 /// `unknown_cmd`, `config`, `state`, `session`, `checkpoint`, `io`,
-/// `timeout`. The session (if any) stays open.
+/// `timeout`, `limit`. The session (if any) stays open, except after
+/// `limit`, which ends the connection.
 pub fn err_reply(kind: &str, msg: &str) -> String {
     format!(
         "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}",

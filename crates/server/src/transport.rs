@@ -6,12 +6,12 @@
 //! (the classic `inrpp serve` pipe); [`SocketTransport`] listens on a
 //! TCP address or a Unix-domain socket path and yields one per
 //! accepted client, polling non-blockingly so a daemon shutdown flag
-//! is observed promptly.
+//! is observed promptly. Accepted TCP streams run with `TCP_NODELAY`.
 
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -76,6 +76,14 @@ enum Listener {
     Unix(UnixListener, String),
 }
 
+/// An accepted client socket, already switched back to blocking mode
+/// and (for TCP) to `TCP_NODELAY`.
+enum Accepted {
+    Tcp(TcpStream, SocketAddr),
+    #[cfg(unix)]
+    Unix(UnixStream),
+}
+
 /// A socket listener: `"unix:/path/to.sock"` or any TCP bind address
 /// (`"127.0.0.1:0"` picks a free port — read it back with
 /// [`Transport::local_addr`]). The accept loop polls non-blockingly
@@ -114,6 +122,33 @@ impl SocketTransport {
             listener: Listener::Tcp(listener),
         })
     }
+
+    /// One nonblocking accept attempt; `Ok(None)` when no client waits.
+    ///
+    /// TCP streams get `TCP_NODELAY`. Every reply is one write, but
+    /// Nagle's algorithm would still hold back the last segment of a
+    /// reply longer than one segment, or a reply written while an
+    /// earlier one is unacknowledged (pipelined requests), until the
+    /// client's delayed ACK (~40 ms).
+    fn try_accept(&self) -> io::Result<Option<Accepted>> {
+        let accepted = match &self.listener {
+            Listener::Tcp(l) => l.accept().and_then(|(stream, peer)| {
+                stream.set_nonblocking(false)?;
+                stream.set_nodelay(true)?;
+                Ok(Accepted::Tcp(stream, peer))
+            }),
+            #[cfg(unix)]
+            Listener::Unix(l, _) => l.accept().and_then(|(stream, _)| {
+                stream.set_nonblocking(false)?;
+                Ok(Accepted::Unix(stream))
+            }),
+        };
+        match accepted {
+            Ok(a) => Ok(Some(a)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 impl Transport for SocketTransport {
@@ -122,37 +157,22 @@ impl Transport for SocketTransport {
             if shutdown.load(Ordering::SeqCst) {
                 return Ok(None);
             }
-            let pending = match &self.listener {
-                Listener::Tcp(l) => match l.accept() {
-                    Ok((stream, peer)) => {
-                        stream.set_nonblocking(false)?;
-                        let reader = stream.try_clone()?;
-                        Some(Conn {
-                            reader: Box::new(BufReader::new(reader)),
-                            writer: Box::new(stream),
-                            peer: peer.to_string(),
-                        })
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(e),
-                },
+            match self.try_accept()? {
+                Some(Accepted::Tcp(stream, peer)) => {
+                    return Ok(Some(Conn {
+                        reader: Box::new(BufReader::new(stream.try_clone()?)),
+                        writer: Box::new(stream),
+                        peer: peer.to_string(),
+                    }))
+                }
                 #[cfg(unix)]
-                Listener::Unix(l, path) => match l.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        let reader = stream.try_clone()?;
-                        Some(Conn {
-                            reader: Box::new(BufReader::new(reader)),
-                            writer: Box::new(stream),
-                            peer: format!("unix:{path}"),
-                        })
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
-                    Err(e) => return Err(e),
-                },
-            };
-            match pending {
-                Some(conn) => return Ok(Some(conn)),
+                Some(Accepted::Unix(stream)) => {
+                    return Ok(Some(Conn {
+                        reader: Box::new(BufReader::new(stream.try_clone()?)),
+                        writer: Box::new(stream),
+                        peer: self.local_addr().unwrap_or_default(),
+                    }))
+                }
                 None => std::thread::sleep(Duration::from_millis(2)),
             }
         }
@@ -172,6 +192,29 @@ impl Drop for SocketTransport {
         #[cfg(unix)]
         if let Listener::Unix(_, path) = &self.listener {
             let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_tcp_streams_run_with_nodelay() {
+        let transport = SocketTransport::bind("127.0.0.1:0").expect("bind");
+        let addr = transport.local_addr().expect("bound address");
+        let _client = TcpStream::connect(&addr).expect("connect");
+        let accepted = loop {
+            match transport.try_accept().expect("accept") {
+                Some(a) => break a,
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        };
+        match accepted {
+            Accepted::Tcp(stream, _) => assert!(stream.nodelay().expect("nodelay")),
+            #[cfg(unix)]
+            Accepted::Unix(_) => panic!("a TCP listener accepted a unix stream"),
         }
     }
 }
