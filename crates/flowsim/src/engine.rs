@@ -26,15 +26,40 @@
 //!   order.
 //!
 //! **Exactness contract:** for any active set, [`AllocEngine::allocate`]
-//! produces bit-identical `flow_rates`, `subpath_rates`, and `dir_used`
-//! to the reference allocator. The filling loop performs the same
-//! arithmetic in the same order; the one shortcut — re-scanning a flow's
-//! subpath preference from its *current* cursor instead of from zero — is
-//! sound because channel saturation is monotone within one allocation
-//! (residuals only fall, saturated channels are clamped to zero and stay
-//! there), so subpaths once skipped stay skipped. The contract is gated
-//! by unit tests here and the reference-equivalence property test in
-//! `tests/properties.rs`.
+//! produces bit-identical `flow_rates`, `subpath_rates`, `dir_used` and
+//! filling rounds to the reference allocator. A filling round costs
+//! about one operation per channel in use plus the re-selections, yet
+//! every floating-point value is the reference's:
+//!
+//! * **`δ`** is `min(residual / count)` over the channels in use. The
+//!   minimum does not depend on scan order, and division is correctly
+//!   rounded, so dividing by a count of 1 or 2ᵏ needs no shortcut.
+//! * **Residuals.** The reference subtracts `δ` from `residual[d]` once
+//!   per flow on channel `d`; all `count[d]` subtractions of a round use
+//!   the same `δ`. A closed form (`repeated_sub`) gives that chain's
+//!   exact bits: inside one binade every step after the first subtracts
+//!   the same multiple of the ulp, exactly. A chain that leaves the
+//!   binade runs the scalar loop.
+//! * **Subpath rates.** The reference adds `δ` to a flow's preferred
+//!   subpath in every round the flow is unfrozen. Preference cursors only
+//!   advance, so a subpath is preferred over one run of consecutive
+//!   rounds, and its rate is the left fold from `0.0` of those rounds'
+//!   `δ`s. The engine records each `δ` (and the running sum from round 1)
+//!   and writes each rate once, when the flow leaves the subpath or the
+//!   loop ends.
+//! * **Saturation** is `residual <= 0.0`: residuals start at capacity
+//!   and are clamped to exactly `0.0` once they fall to `capacity·ε`, so
+//!   this equals the reference's `residual <= capacity·ε` test.
+//! * **Re-selection** starts from the flow's current cursor and runs only
+//!   for flows on newly saturated channels. That is sound because
+//!   saturation is monotone within one allocation, so subpaths once
+//!   skipped stay skipped, and a preference changes only when its subpath
+//!   loses a channel.
+//!
+//! The contract is gated by unit tests here (the closed form against the
+//! scalar loop over 10⁷ seeded cases), the reference-equivalence property
+//! test in `tests/properties.rs`, and the Fig. 4a-scale replay in
+//! `tests/allocator_oracle.rs`.
 
 use inrpp_topology::dense::DenseChannels;
 use inrpp_topology::graph::Topology;
@@ -153,30 +178,31 @@ pub struct AllocatorScratch {
     frozen: Vec<bool>,
     /// Per active position: cursor into the subpath preference order.
     preferred: Vec<u32>,
-    /// Per channel: active positions whose preferred subpath was routed
-    /// through it when selected (lazy — may contain stale entries, which
-    /// the rescan filters out). Drives the targeted re-selection: only
-    /// flows on a newly saturated channel can change preference.
-    on_channel: Vec<Vec<u32>>,
-    /// Unfrozen active positions (order-free: every per-flow update in a
-    /// round is independent, so iteration order does not affect results).
-    unfrozen: Vec<u32>,
-    /// Per active position: its index in `unfrozen` (for swap-removal).
-    unfrozen_pos: Vec<u32>,
+    /// Per channel: `(position, subpath)` of every selection routed
+    /// through it. An entry is stale once its flow has moved on (frozen,
+    /// or preferring a later subpath); the rescan skips those. Drives the
+    /// targeted re-selection: only flows on a newly saturated channel can
+    /// change preference.
+    on_channel: Vec<Vec<(u32, u32)>>,
+    /// Per active position: the first filling round whose `δ` its
+    /// preferred subpath receives (1 for the initial selection).
+    since: Vec<u32>,
+    /// `δ` of every filling round so far, in round order.
+    deltas: Vec<f64>,
+    /// `prefix[k]` = `δ₁ + … + δₖ` summed left to right from `0.0` — the
+    /// exact rate of a subpath preferred from round 1 through round `k`.
+    prefix: Vec<f64>,
     /// Channels saturated by the current round.
     newly_sat: Vec<u32>,
-    /// Channels with `count > 0` (may lag: zero-count entries are swept
-    /// out during the next round's δ pass). The per-round scans iterate
-    /// this instead of every channel — late rounds have few flows left.
+    /// Channels with `count > 0` (zero-count entries are swept out after
+    /// each round's rescans). The per-round scans iterate this instead
+    /// of every channel — late rounds have few flows left.
     in_use: Vec<u32>,
     /// Membership flag for `in_use` (prevents duplicate entries when a
     /// channel's count returns to zero and climbs again).
     in_list: Vec<bool>,
     /// Spare buffer rotated through `on_channel` entries during rescans.
-    rescan_buf: Vec<u32>,
-    /// `2⁻ᵏ` reciprocals: dividing by a power-of-two count is an exact
-    /// scaling, so it can be a multiplication with a bit-identical result.
-    pow2_recip: [f64; 33],
+    rescan_buf: Vec<(u32, u32)>,
 }
 
 impl AllocatorScratch {
@@ -187,10 +213,6 @@ impl AllocatorScratch {
             caps.push(c);
             caps.push(c);
         }
-        let mut pow2_recip = [0.0; 33];
-        for (k, r) in pow2_recip.iter_mut().enumerate() {
-            *r = 1.0 / (1u64 << k) as f64;
-        }
         AllocatorScratch {
             residual: vec![0.0; caps.len()],
             count: vec![0; caps.len()],
@@ -200,20 +222,23 @@ impl AllocatorScratch {
             caps,
             frozen: Vec::new(),
             preferred: Vec::new(),
-            unfrozen: Vec::new(),
-            unfrozen_pos: Vec::new(),
+            since: Vec::new(),
+            deltas: Vec::new(),
+            prefix: Vec::new(),
             newly_sat: Vec::new(),
             in_use: Vec::new(),
             rescan_buf: Vec::new(),
-            pow2_recip,
         }
     }
 
-    /// True when channel `d` has no headroom left (identical predicate to
-    /// the reference allocator).
+    /// True when channel `d` has no headroom left. Equal to the
+    /// reference's `residual <= caps·REL_EPS` wherever it is asked: a
+    /// residual starts at `caps` (above `caps·ε` when `caps > 0`, and `0`
+    /// when `caps == 0`), and each round either leaves it above `caps·ε`
+    /// or clamps it to exactly `0.0`.
     #[inline]
     fn saturated(&self, d: usize) -> bool {
-        self.residual[d] <= self.caps[d] * REL_EPS
+        self.residual[d] <= 0.0
     }
 
     /// Set both directions of `link` to `factor` of base capacity; `0`
@@ -227,16 +252,20 @@ impl AllocatorScratch {
         }
     }
 
-    /// Route flow `i` over channel `d` of its newly preferred subpath:
-    /// count it, list it for targeted re-selection, and make sure the
-    /// channel is on the in-use scan list.
+    /// Route flow `i` over the channels of its newly preferred subpath
+    /// `p`: count it, list it for targeted re-selection, and make sure
+    /// each channel is on the in-use scan list.
     #[inline]
-    fn route(&mut self, d: usize, i: u32) {
-        self.count[d] += 1;
-        self.on_channel[d].push(i);
-        if !self.in_list[d] {
-            self.in_list[d] = true;
-            self.in_use.push(d as u32);
+    fn route(&mut self, data: &SlotData, i: usize, p: usize) {
+        self.preferred[i] = p as u32;
+        for &d in data.subpath(p) {
+            let d = d as usize;
+            self.count[d] += 1;
+            self.on_channel[d].push((i as u32, p as u32));
+            if !self.in_list[d] {
+                self.in_list[d] = true;
+                self.in_use.push(d as u32);
+            }
         }
     }
 
@@ -249,41 +278,103 @@ impl AllocatorScratch {
         (from..data.len()).find(|&p| !data.subpath(p).iter().any(|&d| self.saturated(d as usize)))
     }
 
-    /// Re-evaluate flow `i`'s preference after a channel on its preferred
-    /// subpath saturated, keeping `count`, `on_channel`, and the unfrozen
-    /// set in sync. No-op when the flow is already frozen (stale list
-    /// entry) or its preferred subpath is still clean.
-    fn rescan(&mut self, data: &SlotData, i: u32) {
-        if self.frozen[i as usize] {
-            return;
+    /// Rate of a subpath preferred from round `since` through round
+    /// `upto`: `δ_since + … + δ_upto` summed left to right from `0.0`,
+    /// the addition sequence the reference's per-round `+= δ` performs.
+    #[inline]
+    fn folded(&self, since: u32, upto: usize) -> f64 {
+        if since == 1 {
+            self.prefix[upto]
+        } else {
+            self.deltas
+                .get(since as usize - 1..upto)
+                .map_or(0.0, |ds| ds.iter().fold(0.0, |acc, &x| acc + x))
         }
-        let p0 = self.preferred[i as usize] as usize;
-        let choice = self.select_from(data, p0);
-        if choice == Some(p0) {
-            return;
-        }
+    }
+
+    /// Move flow `i` off its preferred subpath after round `round`
+    /// saturated one of its channels, keeping `count`, `on_channel` and
+    /// `in_use` in sync and writing the final rate of the subpath it
+    /// leaves into `subs` (its slice of subpath rates). The next clean
+    /// subpath becomes preferred; returns true when none is left and the
+    /// flow froze.
+    fn leave(&mut self, data: &SlotData, i: usize, round: usize, subs: &mut [f64]) -> bool {
+        let p0 = self.preferred[i] as usize;
+        subs[p0] = self.folded(self.since[i], round);
         for &d in data.subpath(p0) {
             self.count[d as usize] -= 1;
         }
-        match choice {
+        match self.select_from(data, p0 + 1) {
             Some(p) => {
-                self.preferred[i as usize] = p as u32;
-                for &d in data.subpath(p) {
-                    self.route(d as usize, i);
-                }
+                self.since[i] = round as u32 + 1;
+                self.route(data, i, p);
+                false
             }
             None => {
-                self.frozen[i as usize] = true;
-                // swap-remove from the unfrozen set, fixing the index of
-                // the element that took the vacated slot
-                let at = self.unfrozen_pos[i as usize] as usize;
-                self.unfrozen.swap_remove(at);
-                if let Some(&moved) = self.unfrozen.get(at) {
-                    self.unfrozen_pos[moved as usize] = at as u32;
-                }
+                self.frozen[i] = true;
+                true
             }
         }
     }
+}
+
+/// Range of the flow at `pos` in the flat subpath-rate vector, given
+/// each position's exclusive end offset.
+#[inline]
+fn sub_range(sub_ends: &[u32], pos: usize) -> std::ops::Range<usize> {
+    let start = if pos == 0 {
+        0
+    } else {
+        sub_ends[pos - 1] as usize
+    };
+    start..sub_ends[pos] as usize
+}
+
+/// Exponent bits of an `f64`: masking a positive normal `r` with them
+/// gives the power of two at the bottom of its binade.
+const EXP_MASK: u64 = 0x7ff0_0000_0000_0000;
+
+/// `r` after `c` rounded subtractions of `delta` — bit for bit the value
+/// of `for _ in 0..c { r -= delta }` — in O(1) unless the chain leaves
+/// `r`'s binade. Requires `c >= 1` and `delta >= 0`.
+///
+/// Let `lo` be the power of two at the bottom of `r`'s binade and `u`
+/// its ulp. While the exact difference `x − δ` of a step stays at or
+/// above `lo`, the representable numbers nearest it are the multiples of
+/// `u`, so the step subtracts `δ` rounded to a multiple of `u`, exactly.
+/// Which multiple depends only on `δ`, except when `δ` lies exactly
+/// halfway between two: then round-half-even picks the one that leaves
+/// an even significand, so every step after the first subtracts the
+/// same even multiple. Either way, every step after `x1 = r − δ`
+/// subtracts the same `d = x1 − (x1 − δ)`. So:
+///
+/// * if `x1 ≥ lo` and `(x1 − (c−2)·d) − lo ≥ δ`, the last step — hence
+///   every earlier one — stays in the binade, and the result is
+///   `x1 − (c−1)·d`. Every operation in it is then exact: `d` and the
+///   products are multiples of `u` below `lo`, the differences stay in
+///   `[lo, 2·lo)` (Sterbenz). For `c == 1` the result is `x1` either way.
+/// * if the check fails, either some step leaves the binade or the
+///   product `(c−2)·d` rounds to at least `x1 − lo` — which happens only
+///   when its exact value is that large — so the check is exact.
+///
+/// A chain that leaves the binade (the channel that saturates, or a
+/// residual falling below a power of two) takes the scalar loop, as do
+/// infinite and NaN values, which fail a comparison.
+#[inline]
+fn repeated_sub(r: f64, delta: f64, c: u32) -> f64 {
+    debug_assert!(c >= 1 && delta >= 0.0, "c {c}, delta {delta}");
+    let lo = f64::from_bits(r.to_bits() & EXP_MASK);
+    let x1 = r - delta;
+    let d = x1 - (x1 - delta);
+    let n = f64::from(c);
+    if x1 >= lo && (x1 - (n - 2.0) * d) - lo >= delta {
+        return x1 - (n - 1.0) * d;
+    }
+    let mut x = r;
+    for _ in 0..c {
+        x -= delta;
+    }
+    x
 }
 
 /// The persistent allocation engine: flows enter at arrival
@@ -396,19 +487,26 @@ impl AllocEngine {
     /// filling over the arena, scratch reused). Outputs are readable
     /// until the next `insert`/`remove`/`allocate`.
     ///
-    /// The filling loop is restructured against the reference allocator
-    /// for speed, but every restructuring preserves bit-identical
-    /// arithmetic:
+    /// A round costs about one operation per channel in use, plus the
+    /// rescans. Every restructuring against the reference allocator keeps
+    /// its arithmetic bit for bit:
     ///
     /// * channel counts are maintained incrementally instead of rebuilt
     ///   per round — pure integer bookkeeping, same values;
-    /// * the per-round `δ` is still the minimum over channels in use —
-    ///   `min` does not depend on scan order;
-    /// * residual subtraction runs per *channel* (`count[d]` repeated
-    ///   subtractions in a register) instead of per flow — the operation
-    ///   sequence each `residual[d]` sees is unchanged, because within a
-    ///   round every subtraction uses the same `δ` and no other channel's
-    ///   updates touch it;
+    /// * `δ` is the minimum of `residual[d] / count[d]` over channels in
+    ///   use — `min` does not depend on scan order, and zero-count
+    ///   channels are swept out after each round's rescans;
+    /// * the `count[d]` subtractions of `δ` the reference applies to
+    ///   `residual[d]` in a round (one per flow, all with the same `δ`,
+    ///   no other channel involved) are one closed-form
+    ///   `repeated_sub`, which returns the scalar chain's exact bits;
+    /// * a subpath's rate is written once, when its flow leaves it or the
+    ///   loop ends: the reference adds `δ` to it in every round it is
+    ///   preferred, and preference cursors only advance, so that rate is
+    ///   a left fold from `0.0` of the `δ`s of one run of consecutive
+    ///   rounds, and `folded` replays exactly that fold;
+    /// * the saturation test is `residual[d] <= 0.0`, equal to the
+    ///   reference's `residual[d] <= caps[d]·ε` on the clamped residuals;
     /// * re-selection is driven by the flow lists of newly saturated
     ///   channels — exactly the flows the reference's full rescan could
     ///   move (a preference changes only when the flow's current subpath
@@ -431,9 +529,14 @@ impl AllocEngine {
         }
         self.sub_rates.clear();
         self.sub_rates.resize(total_subs as usize, 0.0);
+        s.since.clear();
+        s.since.resize(self.slots.len(), 1);
+        s.deltas.clear();
+        s.prefix.clear();
+        s.prefix.push(0.0);
 
-        // Initial selection, then seed counts, per-channel flow lists,
-        // the in-use channel list, and the unfrozen set.
+        // Initial selection, then seed counts, per-channel flow lists and
+        // the in-use channel list.
         s.count.fill(0);
         for l in &mut s.on_channel {
             l.clear();
@@ -442,9 +545,7 @@ impl AllocEngine {
             s.in_list[s.in_use[k] as usize] = false;
         }
         s.in_use.clear();
-        s.unfrozen.clear();
-        s.unfrozen_pos.clear();
-        s.unfrozen_pos.resize(self.slots.len(), 0);
+        let mut live = 0usize;
         for (i, &slot) in self.slots.iter().enumerate() {
             if s.frozen[i] {
                 continue;
@@ -452,12 +553,8 @@ impl AllocEngine {
             let data = &self.paths.slots[slot as usize];
             match s.select_from(data, 0) {
                 Some(p) => {
-                    s.preferred[i] = p as u32;
-                    for &d in data.subpath(p) {
-                        s.route(d as usize, i as u32);
-                    }
-                    s.unfrozen_pos[i] = s.unfrozen.len() as u32;
-                    s.unfrozen.push(i as u32);
+                    s.route(data, i, p);
+                    live += 1;
                 }
                 None => s.frozen[i] = true,
             }
@@ -466,105 +563,101 @@ impl AllocEngine {
         let mut rounds = 0;
         while rounds < MAX_ROUNDS {
             rounds += 1;
-            if s.unfrozen.is_empty() {
+            if live == 0 {
                 break;
             }
             // Largest uniform increment no used channel can refuse — the
-            // same minimum the reference takes over all channels, since
-            // `min` is scan-order independent and `in_use` ⊇ the channels
-            // with `count > 0` (zero-count leftovers are swept out here).
-            // Dividing by 1 is the identity and dividing by a power of
-            // two is an exact scaling, so only the remaining counts pay
-            // for a hardware division — same bits either way.
+            // same minimum the reference takes over all channels. Division
+            // is correctly rounded, so dividing by a count of 1 or 2ᵏ
+            // needs no shortcut to give the identity's or scaling's bits.
             let mut delta = f64::INFINITY;
-            let mut k = 0;
-            while k < s.in_use.len() {
-                let d = s.in_use[k] as usize;
-                let c = s.count[d];
-                if c == 0 {
-                    s.in_list[d] = false;
-                    s.in_use.swap_remove(k);
-                    continue;
+            for &d in &s.in_use {
+                let d = d as usize;
+                let q = s.residual[d] / f64::from(s.count[d]);
+                // a select (`minsd`), not `f64::min`'s NaN handling: no
+                // quotient is NaN, as `count > 0` and `residual > 0`
+                if q < delta {
+                    delta = q;
                 }
-                let q = if c == 1 {
-                    s.residual[d]
-                } else if c.is_power_of_two() {
-                    s.residual[d] * s.pow2_recip[c.trailing_zeros() as usize]
-                } else {
-                    s.residual[d] / c as f64
-                };
-                delta = delta.min(q);
-                k += 1;
             }
             debug_assert!(delta.is_finite(), "unfrozen flows must use channels");
+            let prefix = s.prefix[s.deltas.len()] + delta;
+            s.deltas.push(delta);
+            s.prefix.push(prefix);
             // `count[d] > 0` implies `residual[d] > caps[d]·ε` (else the
             // subpath would not have been selectable), so `δ` is strictly
             // positive whenever any flow is unfrozen — the reference's
             // `if δ > 0` guard is vacuous here and the saturation clamp
             // can run fused into the subtraction pass: all of a channel's
-            // subtractions happen below before its clamp check, exactly
-            // as the reference orders them.
-            s.newly_sat.clear();
-            for &i in &s.unfrozen {
-                let i = i as usize;
-                let start = if i == 0 {
-                    0
-                } else {
-                    self.sub_ends[i - 1] as usize
-                };
-                self.sub_rates[start + s.preferred[i] as usize] += delta;
-            }
-            for k in 0..s.in_use.len() {
-                let d = s.in_use[k] as usize;
-                let c = s.count[d];
-                if c > 0 {
-                    // per-channel repeated subtraction: the same op
-                    // sequence `residual[d]` saw from the reference's
-                    // per-flow loop, since every subtraction in a round
-                    // uses the same δ and channels are independent
-                    let mut r = s.residual[d];
-                    for _ in 0..c {
-                        r -= delta;
-                    }
-                    // clamp channels that just saturated to exactly zero
-                    // so the saturation predicate is stable, and collect
-                    // them: only flows routed through them can change
-                    // preference
-                    if r <= s.caps[d] * REL_EPS {
-                        r = 0.0;
-                        s.newly_sat.push(d as u32);
-                    }
-                    s.residual[d] = r;
+            // subtractions happen before its clamp check, exactly as the
+            // reference orders them.
+            let AllocatorScratch {
+                caps,
+                residual,
+                count,
+                newly_sat,
+                in_use,
+                ..
+            } = s;
+            newly_sat.clear();
+            for &d in in_use.iter() {
+                let d = d as usize;
+                let mut r = repeated_sub(residual[d], delta, count[d]);
+                // clamp channels that just saturated to exactly zero so
+                // the saturation predicate is stable, and collect them:
+                // only flows routed through them can change preference
+                if r <= caps[d] * REL_EPS {
+                    r = 0.0;
+                    newly_sat.push(d as u32);
                 }
+                residual[d] = r;
             }
-            // Re-select the affected flows. A saturated channel never
-            // re-enters any preference, so its flow list is consumed
-            // (its buffer rotates through `rescan_buf` to keep capacity).
+            // Re-select the affected flows: every flow still preferring a
+            // subpath through a newly saturated channel moves on. A
+            // saturated channel never re-enters any preference, so its
+            // flow list is consumed (its buffer rotates through
+            // `rescan_buf` to keep capacity).
             for k in 0..s.newly_sat.len() {
                 let d = s.newly_sat[k] as usize;
                 let mut pending = std::mem::take(&mut s.rescan_buf);
                 std::mem::swap(&mut pending, &mut s.on_channel[d]);
-                for &i in &pending {
-                    let data = &self.paths.slots[self.slots[i as usize] as usize];
-                    s.rescan(data, i);
+                for &(i, p) in &pending {
+                    let pos = i as usize;
+                    if s.frozen[pos] || s.preferred[pos] != p {
+                        continue; // stale: the flow has moved on
+                    }
+                    let data = &self.paths.slots[self.slots[pos] as usize];
+                    let subs = &mut self.sub_rates[sub_range(&self.sub_ends, pos)];
+                    if s.leave(data, pos, rounds, subs) {
+                        live -= 1;
+                    }
                 }
                 pending.clear();
                 s.rescan_buf = pending;
             }
+            let AllocatorScratch {
+                count,
+                in_use,
+                in_list,
+                ..
+            } = s;
+            in_use.retain(|&d| {
+                let keep = count[d as usize] > 0;
+                in_list[d as usize] = keep;
+                keep
+            });
         }
         debug_assert!(rounds < MAX_ROUNDS, "allocator failed to converge");
         self.rounds = rounds;
-
+        // Flows still unfrozen kept their last subpath to the end.
+        let filled = s.deltas.len();
         self.flow_rates.clear();
-        for i in 0..self.slots.len() {
-            let start = if i == 0 {
-                0
-            } else {
-                self.sub_ends[i - 1] as usize
-            };
-            let end = self.sub_ends[i] as usize;
-            self.flow_rates
-                .push(self.sub_rates[start..end].iter().sum());
+        for pos in 0..self.slots.len() {
+            let subs = &mut self.sub_rates[sub_range(&self.sub_ends, pos)];
+            if !s.frozen[pos] {
+                subs[s.preferred[pos] as usize] = s.folded(s.since[pos], filled);
+            }
+            self.flow_rates.push(subs.iter().sum());
         }
         self.dir_used.clear();
         for d in 0..ndir {
@@ -580,12 +673,7 @@ impl AllocEngine {
     /// Rate per subpath of the flow at `pos` (bits/s, preference order).
     #[inline]
     pub fn subpath_rates(&self, pos: usize) -> &[f64] {
-        let start = if pos == 0 {
-            0
-        } else {
-            self.sub_ends[pos - 1] as usize
-        };
-        &self.sub_rates[start..self.sub_ends[pos] as usize]
+        &self.sub_rates[sub_range(&self.sub_ends, pos)]
     }
 
     /// Bits/s consumed on every directed channel.
@@ -643,9 +731,88 @@ impl AllocEngine {
 mod tests {
     use super::*;
     use crate::allocator::max_min_allocate;
+    use inrpp_sim::rng::SimRng;
     use inrpp_sim::time::SimDuration;
     use inrpp_sim::units::Rate;
     use inrpp_topology::graph::NodeId;
+
+    /// Spacing of the representable numbers just above positive `r`.
+    fn ulp(r: f64) -> f64 {
+        f64::from_bits(r.to_bits() + 1) - r
+    }
+
+    /// One `(r, δ)` pair of the kernel test, drawn from a family picked
+    /// by `family`; `cmax` is the longest chain the pair will be run for.
+    fn kernel_case(family: u64, cmax: u32, rng: &mut SimRng) -> (f64, f64) {
+        // a positive normal r with a random mantissa, 2^e ≤ r < 2^(e+1)
+        let e = rng.index(90) as i64 - 30;
+        let mantissa = (rng.f64() * (1u64 << 52) as f64) as u64;
+        let r = f64::from_bits(((1023 + e) as u64) << 52 | mantissa);
+        let pow2 = f64::from_bits(((1023 + e) as u64) << 52);
+        let scale = 2f64.powi(-(rng.index(64) as i32));
+        match family {
+            // generic: δ anywhere from r down to 2⁻⁶⁴·r
+            0 => (r, r * scale * (0.5 + rng.f64())),
+            // δ = r/c: the chain reaches about zero at step c
+            1 => (r, r / (1 + rng.index(cmax as usize)) as f64),
+            // r exactly a power of two
+            2 => (pow2, pow2 * scale * rng.f64()),
+            // r just above a power of two
+            3 => {
+                let r = pow2 + ulp(pow2) * (1 + rng.index(4)) as f64;
+                (r, ulp(r) * (rng.index(8) as f64 + rng.f64()))
+            }
+            // δ = (k+½)·ulp: a rounding tie at every step
+            4 => {
+                let k = (rng.f64() * 2f64.powi(rng.index(40) as i32)) as u64;
+                (r, ulp(r) * (k as f64 + 0.5))
+            }
+            // δ below half an ulp, up to the neighbours of the tie
+            5 => {
+                let half = ulp(r) * 0.5;
+                let delta = match rng.index(3) {
+                    0 => half * rng.f64(),
+                    1 => f64::from_bits(half.to_bits() - 1),
+                    _ => f64::from_bits(half.to_bits() + 1),
+                };
+                (r, delta)
+            }
+            // subnormal r
+            6 => {
+                let r = f64::from_bits(1 + (rng.f64() * (1u64 << 52) as f64) as u64);
+                (r, r * scale * rng.f64())
+            }
+            // infinite r
+            _ => (f64::INFINITY, r),
+        }
+    }
+
+    /// The closed-form repeated subtraction equals the scalar chain bit
+    /// for bit over 10⁷ seeded cases. Each `(r, δ)` pair runs the chain
+    /// once and checks the closed form at every `c` from 1 to a chain
+    /// length drawn log-uniformly from 1..=1000.
+    #[test]
+    fn repeated_sub_matches_scalar_chain() {
+        let mut rng = SimRng::from_seed_u64(0xD1FF_5EED);
+        let mut cases = 0u64;
+        let mut pair = 0u64;
+        while cases < 10_000_000 {
+            let cmax = 1000f64.powf(rng.f64()).round() as u32;
+            let (r, delta) = kernel_case(pair % 8, cmax, &mut rng);
+            let mut x = r;
+            for c in 1..=cmax {
+                x -= delta;
+                let got = repeated_sub(r, delta, c);
+                assert_eq!(
+                    got.to_bits(),
+                    x.to_bits(),
+                    "r {r:e}, δ {delta:e}, c {c}: {got:e} != {x:e}"
+                );
+            }
+            cases += u64::from(cmax);
+            pair += 1;
+        }
+    }
 
     /// Engine output must be bit-identical to the reference allocator.
     fn assert_matches_reference(topo: &Topology, keyed: &[(u64, Vec<Path>)]) {

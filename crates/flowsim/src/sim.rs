@@ -768,6 +768,12 @@ impl<'a> FlowRun<'a> {
             if src.0 as usize >= topo.node_count() || dst.0 as usize >= topo.node_count() {
                 return Err(SnapError::Corrupt("active flow endpoint out of range"));
             }
+            if fl.arrival > eng.now() {
+                return Err(SnapError::Corrupt("active flow arrives after the clock"));
+            }
+            if fl.subpath_hops.len() != fl.subpath_bits.len() {
+                return Err(SnapError::Corrupt("subpath hop and bit counts differ"));
+            }
             let paths = strategy.paths_for(topo, src, dst, key);
             if paths.len() != fl.subpath_bits.len() {
                 return Err(SnapError::Corrupt(
@@ -818,6 +824,14 @@ impl<'a> FlowRun<'a> {
             chan_weighted: Vec::<f64>::decode(r)?,
             weighted_secs: r.get_f64()?,
         };
+        if run.last_update > run.eng.now() {
+            return Err(SnapError::Corrupt("last update after the clock"));
+        }
+        if run.chan_weighted.len() != 2 * links {
+            return Err(SnapError::Corrupt(
+                "channel utilisation length differs from topology",
+            ));
+        }
         // Capacity state is a pure function of (plan, now): replay every
         // transition due at or before the checkpoint clock — starts and
         // burst ends in firing order (stable by time, plan order on ties)
@@ -1582,6 +1596,46 @@ mod tests {
                 .is_err(),
                 "truncation at {cut} was accepted"
             );
+        }
+        // well-formed bytes whose state contradicts itself: each must be
+        // refused before any handler can index or subtract with it
+        type Corrupt = fn(&mut FlowRun<'_>);
+        fn first_active(run: &FlowRun<'_>) -> usize {
+            assert!(!run.alloc_engine.is_empty(), "no active flow to corrupt");
+            run.alloc_engine.slot_at(0)
+        }
+        let cases: [(&str, Corrupt); 4] = [
+            ("active flow arrives after the clock", |run| {
+                let slot = first_active(run);
+                let late = run.now() + SimDuration::from_secs(1);
+                run.states[slot].as_mut().unwrap().arrival = late;
+            }),
+            ("last update after the clock", |run| {
+                run.last_update = run.now() + SimDuration::from_secs(1);
+            }),
+            ("subpath hop and bit counts differ", |run| {
+                let slot = first_active(run);
+                run.states[slot].as_mut().unwrap().subpath_hops.push(1);
+            }),
+            ("channel utilisation length differs from topology", |run| {
+                run.chan_weighted.pop();
+            }),
+        ];
+        for (want, corrupt) in cases {
+            let mut run = FlowSim::new(&topo, &sp, &w, cfg).start();
+            run.run_until(SimTime::from_secs(1), &mut ());
+            corrupt(&mut run);
+            let mut wtr = SnapWriter::new();
+            run.encode_checkpoint(&mut wtr);
+            let bytes = wtr.into_bytes();
+            let got = FlowRun::restore(
+                &topo,
+                &sp,
+                &w,
+                FaultPlan::empty(),
+                &mut SnapReader::new(&bytes),
+            );
+            assert_eq!(got.err(), Some(SnapError::Corrupt(want)));
         }
     }
 }

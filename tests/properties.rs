@@ -42,6 +42,29 @@ fn random_topology(n: usize, extra: usize, seed: u64) -> Topology {
     t
 }
 
+/// Two routers joined by a 100 Mb/s bottleneck and by a 40 Mb/s detour
+/// through a relay, with `hosts` hosts on each side on 10 Mb/s – 1 Gb/s
+/// access links. Nodes: 0 = left router, 1 = right router, 2 = relay;
+/// host `3 + 2j` sits on the left, `4 + 2j` on the right.
+fn shared_bottleneck_topology(hosts: usize, seed: u64) -> Topology {
+    let mut rng = SimRng::from_seed_u64(seed ^ 0x00B0_771E);
+    let mut t = Topology::new("shared-bottleneck");
+    let ids = t.add_nodes(3 + 2 * hosts);
+    let ms = SimDuration::from_millis(1);
+    t.add_link(ids[0], ids[1], Rate::mbps(100.0), ms).unwrap();
+    t.add_link(ids[0], ids[2], Rate::mbps(40.0), ms).unwrap();
+    t.add_link(ids[2], ids[1], Rate::mbps(40.0), ms).unwrap();
+    let caps = [10.0, 25.0, 100.0, 1000.0];
+    for j in 0..hosts {
+        for side in 0..2 {
+            let cap = Rate::mbps(*rng.pick(&caps));
+            t.add_link(ids[3 + 2 * j + side], ids[side], cap, ms)
+                .unwrap();
+        }
+    }
+    t
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -93,27 +116,50 @@ proptest! {
 
     /// The incremental arena-backed engine and the retained from-scratch
     /// reference allocator produce **bit-identical** `flow_rates`,
-    /// `subpath_rates`, and `dir_used` across random synthetic
-    /// topologies, multipath (INRP) path sets, and random
-    /// arrival/departure interleavings — the exactness contract of
-    /// `inrpp_flowsim::engine`.
+    /// `subpath_rates`, `dir_used` and filling rounds across random
+    /// arrival/departure interleavings of multipath (INRP) path sets —
+    /// the exactness contract of `inrpp_flowsim::engine`. Three shapes:
+    /// random synthetic topologies; up to ~200 flows over one shared
+    /// bottleneck with a detour (channel counts far above 32, residuals
+    /// falling through many binades); and random topologies with random
+    /// links degraded or taken down through `set_link_capacity_factor`,
+    /// checked against a reference topology with the same capacities.
     #[test]
     fn incremental_engine_matches_reference_allocator(
         n in 5usize..16,
         extra in 0usize..16,
         steps in proptest::collection::vec((0u8..4, 0u64..1024), 1..40),
         seed in 0u64..300,
+        shape in 0u8..3,
     ) {
         use inrpp_flowsim::engine::AllocEngine;
         use inrpp_flowsim::strategy::{InrpStrategy, RoutingStrategy};
         use inrpp_topology::spath::Path;
-        let topo = random_topology(n, extra, seed);
+        let mut rng = SimRng::from_seed_u64(seed ^ 0x0A11_0C8A);
+        let bottleneck = shape == 1;
+        let topo = if bottleneck {
+            shared_bottleneck_topology(n, seed)
+        } else {
+            random_topology(n, extra, seed)
+        };
         let strat = InrpStrategy::with_defaults(&topo);
         let mut engine = AllocEngine::new(&topo);
+        // the reference reads capacities off its topology: degrade the
+        // same links of a copy by the same factors
+        let mut reference_topo = topo.clone();
+        if shape == 2 {
+            for l in topo.link_ids() {
+                if rng.chance(0.3) {
+                    let factor = if rng.chance(0.3) { 0.0 } else { rng.f64() };
+                    engine.set_link_capacity_factor(l.idx(), factor);
+                    let base = topo.link(l).capacity.as_bps();
+                    reference_topo.set_capacity(l, Rate::bps(base * factor));
+                }
+            }
+        }
         // shadow active set in key order, as the reference sees it
         let mut shadow: std::collections::BTreeMap<u64, Vec<Path>> =
             std::collections::BTreeMap::new();
-        let mut rng = SimRng::from_seed_u64(seed ^ 0x0A11_0C8A);
         let mut next_key = 0u64;
         for (op, pick) in steps {
             let departure = op == 0 && !shadow.is_empty();
@@ -124,31 +170,44 @@ proptest! {
                 shadow.remove(&k);
                 prop_assert!(engine.remove(k).is_some());
             } else {
-                let src = NodeId(rng.index(n) as u32);
-                let dst = NodeId(rng.index(n) as u32);
-                if src == dst {
-                    continue;
+                // the bottleneck shape admits a batch per arrival step
+                let batch = if bottleneck { 1 + pick % 10 } else { 1 };
+                for b in 0..batch {
+                    let (src, dst) = if bottleneck {
+                        // host 3 + 2j hangs off the left router, 4 + 2j
+                        // off the right one
+                        (
+                            NodeId(3 + 2 * rng.index(n) as u32),
+                            NodeId(4 + 2 * rng.index(n) as u32),
+                        )
+                    } else {
+                        (NodeId(rng.index(n) as u32), NodeId(rng.index(n) as u32))
+                    };
+                    if src == dst {
+                        continue;
+                    }
+                    // mostly multipath INRP sets; sometimes an unroutable
+                    // (empty) list, which must freeze to rate 0 in both
+                    let paths = if op == 3 && pick % 5 == 0 {
+                        Vec::new()
+                    } else {
+                        strat.paths_for(&topo, src, dst, pick + b)
+                    };
+                    let key = next_key;
+                    next_key += 1;
+                    prop_assert!(engine.insert(key, &paths).is_ok());
+                    shadow.insert(key, paths);
                 }
-                // mostly multipath INRP sets; sometimes an unroutable
-                // (empty) list, which must freeze to rate 0 in both
-                let paths = if op == 3 && pick % 5 == 0 {
-                    Vec::new()
-                } else {
-                    strat.paths_for(&topo, src, dst, pick)
-                };
-                let key = next_key;
-                next_key += 1;
-                prop_assert!(engine.insert(key, &paths).is_ok());
-                shadow.insert(key, paths);
             }
             engine.allocate();
             let flows: Vec<Vec<Path>> = shadow.values().cloned().collect();
-            let reference = max_min_allocate(&topo, &flows);
+            let reference = max_min_allocate(&reference_topo, &flows);
             prop_assert_eq!(engine.flow_rates(), reference.flow_rates.as_slice());
             prop_assert_eq!(engine.dir_used(), reference.dir_used.as_slice());
             for (pos, want) in reference.subpath_rates.iter().enumerate() {
                 prop_assert_eq!(engine.subpath_rates(pos), want.as_slice());
             }
+            prop_assert_eq!(engine.rounds(), reference.rounds);
         }
     }
 
