@@ -7,7 +7,7 @@
 //! inrpp run <experiment>... [--threads N] [--format table|csv|json]
 //!                           [--quick] [--seeds N] [--out DIR]
 //! inrpp run all --quick --threads 8
-//! inrpp bench [--quick] [--out FILE] [--note key=value]...
+//! inrpp serve [--listen ADDR] [--workers N]
 //! ```
 //!
 //! Examples:
@@ -19,10 +19,12 @@
 //! inrpp run export-topologies --out data  # write the nine .topo files
 //! ```
 
+use std::io::Write;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 
 use inrpp_bench::sweeps::{self, OutputFormat, SweepOptions};
-use inrpp_runner::{run_sweep, RunnerConfig};
+use inrpp_runner::{run_sweep, RunnerConfig, SweepSpec};
 
 const USAGE: &str = "\
 usage: inrpp <command>
@@ -36,16 +38,9 @@ commands:
       --quick                short-horizon configuration where available
       --seeds N              aggregate Fig. 4a over N derived seeds
       --out DIR              write sweep artifacts (.topo files, CDF dumps)
-  bench                      time representative sweeps, record the perf
-                             baseline (wall-clock, cells/sec, events/sec)
-      --quick                short-horizon workloads (the CI setting)
-      --out FILE             output path (default: BENCH_flowsim.json)
-      --note KEY=VALUE       pin a context note into the recorded file
-      --compare OLD [NEW]    with two files: diff them without running;
-                             with one file: run the bench, then diff the
-                             fresh result against it. Exits non-zero on a
-                             >10% cells/sec regression (same-mode files)
-                             or a drifted workload set
+                             a sweep that panics is reported on stderr and
+                             skipped; the others still run, and the exit
+                             code is then 1
   serve                      service mode: the multi-session daemon speaking
                              line-delimited JSON — open/feed/advance/snapshot/
                              checkpoint/resume steppable sessions on either
@@ -70,7 +65,6 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("run") => run(&args[1..]),
-        Some("bench") => bench(&args[1..]),
         Some("serve") => match serve(&args[1..]) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -188,99 +182,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn bench(args: &[String]) -> ExitCode {
-    use inrpp_bench::perf::{compare, BenchSnapshot};
-    let mut quick = false;
-    let mut out_path = "BENCH_flowsim.json".to_string();
-    let mut notes: Vec<(String, String)> = Vec::new();
-    let mut compare_files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => match value_of(&mut it, "--out") {
-                Ok(v) => out_path = v.to_string(),
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--note" => match value_of(&mut it, "--note").map(|v| v.split_once('=')) {
-                Ok(Some((k, v))) => notes.push((k.to_string(), v.to_string())),
-                Ok(None) => {
-                    eprintln!("inrpp bench: --note takes KEY=VALUE");
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--compare" => match value_of(&mut it, "--compare") {
-                Ok(v) => compare_files.push(v.to_string()),
-                Err(e) => {
-                    eprintln!("inrpp bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            // bare paths after --compare extend the comparison set
-            other if !other.starts_with("--") && !compare_files.is_empty() => {
-                compare_files.push(other.to_string());
-            }
-            other => {
-                eprintln!("inrpp bench: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if compare_files.len() > 2 {
-        eprintln!("inrpp bench: --compare takes at most two files");
-        return ExitCode::FAILURE;
-    }
-
-    // pure diff mode: two files, no fresh run
-    if compare_files.len() == 2 {
-        let load = |p: &str| {
-            BenchSnapshot::load(std::path::Path::new(p)).unwrap_or_else(|e| {
-                eprintln!("inrpp bench: {e}");
-                std::process::exit(1);
-            })
-        };
-        let report = compare(&load(&compare_files[0]), &load(&compare_files[1]));
-        print!("{}", report.render_table());
-        return if report.failed() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-
-    let report = inrpp_bench::perf::run_bench(quick, notes);
-    print!("{}", report.render_table());
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("inrpp bench: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-
-    // run-then-compare mode: one baseline file
-    if let Some(baseline) = compare_files.first() {
-        let old = match BenchSnapshot::load(std::path::Path::new(baseline)) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("inrpp bench: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let diff = compare(&old, &BenchSnapshot::of(&report));
-        print!("\n{}", diff.render_table());
-        if diff.failed() {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 fn run(args: &[String]) -> ExitCode {
     let parsed = match parse_run(args) {
         Ok(p) => p,
@@ -289,7 +190,7 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut jobs: Vec<(String, inrpp_runner::SweepSpec)> = Vec::new();
+    let mut jobs: Vec<(String, SweepSpec)> = Vec::new();
     for id in &parsed.experiments {
         if id == "all" {
             for e in sweeps::EXPERIMENTS {
@@ -305,36 +206,56 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    let failures = run_jobs(&jobs, &parsed, &mut std::io::stdout().lock());
+    if failures > 0 {
+        eprintln!("\n{failures} experiment(s) failed");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
+}
+
+/// Run every job in order, printing each report to `out` as it
+/// completes. A sweep that panics is reported on stderr and skipped, so
+/// one broken experiment never costs the others; returns how many
+/// panicked.
+fn run_jobs(jobs: &[(String, SweepSpec)], parsed: &RunArgs, out: &mut dyn Write) -> usize {
     let many = jobs.len() > 1;
+    let mut failures = 0;
+    let mut printed = 0;
     let mut json_reports = Vec::new();
-    for (i, (id, spec)) in jobs.iter().enumerate() {
-        let report = run_sweep(
-            spec,
-            &RunnerConfig {
-                threads: parsed.threads,
-            },
-        );
-        match parsed.format {
-            OutputFormat::Json => json_reports.push(report.to_json()),
-            OutputFormat::Csv => {
-                if many {
-                    if i > 0 {
-                        println!();
-                    }
-                    println!("# {id}");
+    for (id, spec) in jobs {
+        let Ok(report) = catch_unwind(AssertUnwindSafe(|| {
+            run_sweep(
+                spec,
+                &RunnerConfig {
+                    threads: parsed.threads,
+                },
+            )
+        })) else {
+            failures += 1;
+            eprintln!("[{id}] experiment panicked; continuing with the rest");
+            continue;
+        };
+        if parsed.format == OutputFormat::Json {
+            json_reports.push(report.to_json());
+        } else {
+            let mut text = String::new();
+            if many {
+                if printed > 0 {
+                    text.push('\n');
                 }
-                print!("{}", sweeps::render(&report, OutputFormat::Csv));
-            }
-            OutputFormat::Table => {
-                if many {
-                    if i > 0 {
-                        println!();
-                    }
-                    println!("=== {id} {}", "=".repeat(60usize.saturating_sub(id.len())));
-                    println!();
+                if parsed.format == OutputFormat::Csv {
+                    text.push_str(&format!("# {id}\n"));
+                } else {
+                    let rule = "=".repeat(60usize.saturating_sub(id.len()));
+                    text.push_str(&format!("=== {id} {rule}\n\n"));
                 }
-                print!("{}", sweeps::render(&report, OutputFormat::Table));
             }
+            text.push_str(&sweeps::render(&report, parsed.format));
+            printed += 1;
+            out.write_all(text.as_bytes())
+                .and_then(|()| out.flush())
+                .expect("write report to stdout");
         }
         if let Some(dir) = &parsed.out_dir {
             if !report.artifacts.is_empty() {
@@ -342,12 +263,58 @@ fn run(args: &[String]) -> ExitCode {
             }
         }
     }
-    if parsed.format == OutputFormat::Json {
-        if many {
-            println!("[{}]", json_reports.join(","));
+    if !json_reports.is_empty() {
+        let json = if many {
+            format!("[{}]\n", json_reports.join(","))
         } else {
-            println!("{}", json_reports[0]);
+            format!("{}\n", json_reports[0])
+        };
+        out.write_all(json.as_bytes())
+            .expect("write report to stdout");
+    }
+    failures
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inrpp_runner::CellOutput;
+
+    fn stand_in(id: &str, panics: bool) -> SweepSpec {
+        let title = format!("{id} title");
+        let mut spec = SweepSpec::new(id, &title, ["cell"]);
+        spec.push_cell("only", move |_| {
+            assert!(!panics, "stand-in sweep panics on purpose");
+            CellOutput::new().with_row(["ran"])
+        });
+        spec
+    }
+
+    #[test]
+    fn a_panicking_sweep_is_skipped_and_counted() {
+        let jobs = vec![
+            ("boom".to_string(), stand_in("boom", true)),
+            ("fine".to_string(), stand_in("fine", false)),
+        ];
+        for format in [OutputFormat::Table, OutputFormat::Csv, OutputFormat::Json] {
+            let parsed = RunArgs {
+                experiments: Vec::new(),
+                threads: 1,
+                format,
+                opts: SweepOptions::default(),
+                out_dir: None,
+            };
+            let mut out = Vec::new();
+            assert_eq!(run_jobs(&jobs, &parsed, &mut out), 1, "{format:?}");
+            let out = String::from_utf8(out).expect("utf8");
+            assert!(!out.contains("boom"), "{format:?}: {out}");
+            assert!(out.contains("ran"), "{format:?}: {out}");
+            let head = match format {
+                OutputFormat::Table => "=== fine ",
+                OutputFormat::Csv => "# fine\n",
+                OutputFormat::Json => "[{\"experiment\":\"fine\"",
+            };
+            assert!(out.starts_with(head), "{format:?}: {out}");
         }
     }
-    ExitCode::SUCCESS
 }

@@ -1,7 +1,8 @@
 //! Experiment implementations — one function per paper artifact/ablation.
 //!
-//! Binaries print; these functions compute. Keeping them here makes every
-//! experiment unit-testable and lets `run_all` compose them. Every
+//! The CLI prints; these functions compute. Keeping them here makes every
+//! experiment unit-testable and lets the sweeps in [`crate::sweeps`]
+//! compose them. Every
 //! simulation runs through the `inrpp::session` facade — flow-level
 //! experiments on the fluid engine, chunk-level ones on the packet
 //! engine — and every public function returns a named row type (no
@@ -107,7 +108,7 @@ pub fn table1_average(rows: &[Table1Row]) -> Table1Average {
 
 // ------------------------------------------------------------------ Fig. 3
 
-/// The Fig. 3 worked example (re-exported for binaries).
+/// The Fig. 3 worked example (re-exported for the sweeps).
 pub fn fig3() -> Fig3Outcome {
     fig3_outcome()
 }

@@ -1,18 +1,13 @@
-//! `inrpp serve` — service mode over line-delimited JSON.
+//! Wire-compatibility tests for `inrpp serve`.
 //!
-//! The protocol, transports, and session scheduler moved to the
-//! `inrpp-server` crate when service mode grew into a concurrent
-//! multi-session daemon (see `inrpp_server`'s crate docs for the full
-//! protocol and determinism contract). This module re-exports the
-//! stdio entry point the bench CLI and the original tests were built
-//! on, and keeps a wire-compatibility test pinning the v1 protocol
-//! bytes.
-
-pub use inrpp_server::{serve_lines, serve_lines_with};
+//! The protocol, transports and session scheduler live in the
+//! `inrpp-server` crate; `inrpp serve` on stdio runs its line loop. These
+//! tests pin the v1 protocol bytes that sid-less scripts get back from
+//! that loop.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use inrpp_server::serve_lines;
     use std::io::Cursor;
 
     fn run(script: &str) -> Vec<String> {

@@ -1,14 +1,14 @@
 //! Every paper artifact and ablation as a declarative [`SweepSpec`] for
 //! the parallel runner.
 //!
-//! This module is the single registry the `inrpp` CLI, the sixteen legacy
-//! binaries, and the determinism gate all share: [`build`] turns an
-//! experiment id (`"table1"`, `"fig4a"`, `"ablation-interval"`, …) into a
-//! spec whose cells are the experiment's independent simulation units —
-//! one ISP, one parameter point, one transport, one (topology × seed)
-//! pair. The runner executes cells on a worker pool and merges in
-//! canonical order, so every experiment gains `--threads` and
-//! machine-readable output without touching its science.
+//! This module is the single registry the `inrpp` CLI and the
+//! determinism gate share: [`build`] turns an experiment id (`"table1"`,
+//! `"fig4a"`, `"ablation-interval"`, …) into a spec whose cells are the
+//! experiment's independent simulation units — one ISP, one parameter
+//! point, one transport, one (topology × seed) pair. The runner executes
+//! cells on a worker pool and merges in canonical order, so every
+//! experiment gains `--threads` and machine-readable output without
+//! touching its science.
 //!
 //! Cells must stay pure: they recompute shared inputs (topologies, victim
 //! sets) deterministically from seeds instead of sharing state, which is
@@ -16,7 +16,7 @@
 
 use inrpp::scenario::{run_fig4_row, Fig4Config};
 use inrpp::sweep::Grid;
-use inrpp_runner::{run_sweep, CellOutput, RunnerConfig, SweepReport, SweepSpec};
+use inrpp_runner::{CellOutput, SweepReport, SweepSpec};
 use inrpp_sim::time::SimDuration;
 use inrpp_topology::rocketfuel::{generate_isp, generate_with_capacities, Isp};
 
@@ -27,7 +27,7 @@ use crate::table::{ascii_plot, f, pct, Table};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Use the fast (short-horizon) configuration where the experiment
-    /// has one — the legacy `--quick` flag.
+    /// has one — the CLI's `--quick` flag.
     pub quick: bool,
     /// Number of seeds for the Fig. 4a aggregation (1 = the calibrated
     /// single-seed run).
@@ -1116,93 +1116,6 @@ pub fn render(report: &SweepReport, format: OutputFormat) -> String {
     }
 }
 
-// ------------------------------------------------------- legacy bin shell
-
-/// Shared `main` for the sixteen legacy one-experiment binaries: parses
-/// the flags they have always accepted (`--quick`, `--seeds N`, plus the
-/// runner's `--threads N`), executes the sweep on the worker pool, and
-/// prints the table rendering. `export-topologies` additionally writes
-/// its artifacts to the directory given as the first positional argument
-/// (default `data`), preserving the old binary's contract.
-pub fn legacy_main(id: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions {
-        quick: args.iter().any(|a| a == "--quick"),
-        seeds: flag_value(&args, "--seeds")
-            .map(|v| v.parse().expect("--seeds takes a count"))
-            .unwrap_or(1),
-    };
-    let threads = flag_value(&args, "--threads")
-        .map(|v| v.parse().expect("--threads takes a count"))
-        .unwrap_or_else(|| RunnerConfig::default().threads);
-    let spec = build(id, &opts).unwrap_or_else(|| panic!("unknown experiment '{id}'"));
-    let report = run_sweep(&spec, &RunnerConfig { threads });
-    print!("{}", render(&report, OutputFormat::Table));
-    if args.iter().any(|a| a == "--csv") {
-        if id == "fig4b" {
-            // the historical fig4b_stretch --csv contract: long-format
-            // `stretch,cdf,topology` rows at the paper's x-axis grid
-            print!("{}", fig4b_legacy_csv(&report));
-        } else {
-            print!("{}", render(&report, OutputFormat::Csv));
-        }
-    }
-    if id == "export-topologies" {
-        let dir = positionals(&args)
-            .first()
-            .cloned()
-            .unwrap_or_else(|| "data".to_string());
-        write_artifacts(&report, std::path::Path::new(&dir));
-    }
-}
-
-/// The pre-runner `fig4b_stretch --csv` output: long-format
-/// `stretch,cdf,topology` rows sampled at the paper's x-axis grid,
-/// reconstructed from the sweep's full-resolution CDF artifacts (which
-/// are emitted in `fig4_topologies()` order).
-fn fig4b_legacy_csv(report: &SweepReport) -> String {
-    let grid = [1.0, 1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.5, 2.0];
-    let mut out = String::from("stretch,cdf,topology\n");
-    for (isp, artifact) in inrpp::scenario::fig4_topologies()
-        .iter()
-        .zip(&report.artifacts)
-    {
-        let pts: Vec<(f64, f64)> = artifact
-            .contents
-            .lines()
-            .skip(1) // "stretch,cdf" header
-            .filter_map(|l| {
-                let (x, y) = l.split_once(',')?;
-                Some((x.parse().ok()?, y.parse().ok()?))
-            })
-            .collect();
-        for &g in &grid {
-            let v = pts
-                .iter()
-                .take_while(|&&(x, _)| x <= g)
-                .last()
-                .map(|&(_, f)| f)
-                .unwrap_or(0.0);
-            out.push_str(&format!("{g},{v:.4},{}\n", isp.name()));
-        }
-    }
-    out
-}
-
-/// Arguments that are neither flags nor the values of value-taking flags.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--seeds" || a == "--threads" {
-            let _ = it.next(); // skip the flag's value
-        } else if !a.starts_with("--") {
-            out.push(a.clone());
-        }
-    }
-    out
-}
-
 /// Write every artifact of `report` under `dir` (created if needed),
 /// echoing one line per file to **stderr** — stdout stays clean for the
 /// `--format csv|json` machine-readable streams.
@@ -1219,16 +1132,10 @@ pub fn write_artifacts(report: &SweepReport, dir: &std::path::Path) {
     }
 }
 
-/// Value following a `--flag` in an argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inrpp_runner::{run_sweep, RunnerConfig};
 
     #[test]
     fn registry_covers_every_id_and_rejects_unknown() {

@@ -1,6 +1,6 @@
 //! Minimal aligned-text table renderer for experiment output.
 //!
-//! No dependency needed: the binaries print fixed-width tables and CSV.
+//! No dependency needed: the CLI prints fixed-width tables and CSV.
 
 /// A simple column-aligned table builder.
 #[derive(Debug, Clone, Default)]

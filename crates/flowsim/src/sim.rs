@@ -749,6 +749,26 @@ impl<'a> FlowRun<'a> {
         let horizon_d = SimDuration::decode(r)?;
         let eng = Engine::<Event>::decode_state(r)?;
         let extra = Vec::<FlowSpec>::decode(r)?;
+        let nodes = topo.node_count();
+        if extra
+            .iter()
+            .any(|s| s.src.0 as usize >= nodes || s.dst.0 as usize >= nodes)
+        {
+            return Err(SnapError::Corrupt("fed flow endpoint out of range"));
+        }
+        let flows = workload.len() + extra.len();
+        let plan_len = faults.events().len();
+        for ev in eng.pending_events() {
+            match *ev {
+                Event::Arrival(idx) if idx >= flows => {
+                    return Err(SnapError::Corrupt("pending arrival beyond the flow list"));
+                }
+                Event::Fault(idx) | Event::FaultEnd(idx) if idx >= plan_len => {
+                    return Err(SnapError::Corrupt("pending fault beyond the plan"));
+                }
+                _ => {}
+            }
+        }
         let n_active = r.get_usize()?;
         if n_active > r.remaining() {
             return Err(SnapError::Corrupt("active flow count exceeds stream"));
@@ -765,7 +785,7 @@ impl<'a> FlowRun<'a> {
             let src = NodeId(r.get_u32()?);
             let dst = NodeId(r.get_u32()?);
             let fl = ActiveFlow::decode(r)?;
-            if src.0 as usize >= topo.node_count() || dst.0 as usize >= topo.node_count() {
+            if src.0 as usize >= nodes || dst.0 as usize >= nodes {
                 return Err(SnapError::Corrupt("active flow endpoint out of range"));
             }
             if fl.arrival > eng.now() {
@@ -1604,7 +1624,7 @@ mod tests {
             assert!(!run.alloc_engine.is_empty(), "no active flow to corrupt");
             run.alloc_engine.slot_at(0)
         }
-        let cases: [(&str, Corrupt); 4] = [
+        let cases: [(&str, Corrupt); 8] = [
             ("active flow arrives after the clock", |run| {
                 let slot = first_active(run);
                 let late = run.now() + SimDuration::from_secs(1);
@@ -1619,6 +1639,29 @@ mod tests {
             }),
             ("channel utilisation length differs from topology", |run| {
                 run.chan_weighted.pop();
+            }),
+            ("fed flow endpoint out of range", |run| {
+                let spec = FlowSpec {
+                    id: 999,
+                    src: NodeId(999),
+                    dst: NodeId(0),
+                    size_bits: 1e6,
+                    arrival: run.now() + SimDuration::from_secs(1),
+                };
+                run.feed(spec).expect("future arrival");
+            }),
+            ("pending arrival beyond the flow list", |run| {
+                let at = run.now() + SimDuration::from_secs(1);
+                let past_end = run.workload.len() + run.extra.len();
+                run.eng.schedule_at(at, Event::Arrival(past_end)).unwrap();
+            }),
+            ("pending fault beyond the plan", |run| {
+                let at = run.now() + SimDuration::from_secs(1);
+                run.eng.schedule_at(at, Event::Fault(0)).unwrap();
+            }),
+            ("pending fault beyond the plan", |run| {
+                let at = run.now() + SimDuration::from_secs(1);
+                run.eng.schedule_at(at, Event::FaultEnd(0)).unwrap();
             }),
         ];
         for (want, corrupt) in cases {

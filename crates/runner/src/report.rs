@@ -158,9 +158,8 @@ impl SweepReport {
     }
 }
 
-/// Append a JSON string literal (with escaping) to `out` — the one copy
-/// of the escaping rules every JSON emitter in the suite shares (the
-/// sweep reports here, `inrpp bench`'s `BENCH_flowsim.json`).
+/// Append a JSON string literal (with escaping) to `out` — the escaping
+/// rules of the sweep reports' JSON rendering.
 pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -313,6 +313,8 @@ mod tests {
             assert_eq!(replies.len(), 5, "{engine}: {replies:?}");
             for r in &replies {
                 assert_ok(r);
+                // v1 scripts name no session, so no reply carries a sid
+                assert!(!r.contains("\"sid\""), "bare sessions carry no sid: {r}");
             }
             assert!(replies[0].contains("\"event\":\"open\""), "{}", replies[0]);
             assert!(replies[2].contains("\"now_secs\":1.5"), "{}", replies[2]);

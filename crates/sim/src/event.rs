@@ -228,6 +228,12 @@ impl<E> Engine<E> {
         self.queue.len()
     }
 
+    /// Every pending event, in no particular order (restore paths use
+    /// this to validate decoded events before any handler sees them).
+    pub fn pending_events(&self) -> impl Iterator<Item = &E> {
+        self.queue.heap.iter().map(|e| &e.event)
+    }
+
     /// Schedule `event` after `delay` from now.
     pub fn schedule(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event);

@@ -23,6 +23,30 @@ fn run_serialized(id: &str, opts: &SweepOptions, threads: usize) -> (String, Str
     (report.to_json(), report.to_csv())
 }
 
+/// Compare `got` with `tests/golden/<name>`, or rewrite the fixture
+/// when `UPDATE_GOLDEN` is set (the convention of `golden_snapshots.rs`).
+fn check_golden(name: &str, got: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, got).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); regenerate with \
+             UPDATE_GOLDEN=1 cargo test --test runner_determinism",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got, want,
+        "{name} drifted. If intentional, regenerate with \
+         UPDATE_GOLDEN=1 cargo test --test runner_determinism and review."
+    );
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -53,6 +77,9 @@ fn quick_fig4a_sweep_is_byte_identical_at_threads_1_2_8() {
         ..SweepOptions::default()
     };
     let baseline = run_serialized("fig4a", &opts, 1);
+    // pinned across commits too, not only across thread counts: any
+    // change to the fluid engine's arithmetic or event order shows here
+    check_golden("fig4a_quick.csv", &baseline.1);
     for threads in [2, 8] {
         assert_eq!(
             baseline,

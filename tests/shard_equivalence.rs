@@ -8,7 +8,8 @@
 //! * fixed scenarios (INRPP with faults, AIMD, mixed transport; line /
 //!   dumbbell / star shapes) × worker counts 1/2/4/8 × partition seeds,
 //!   plus explicit contiguous partitions — the deterministic matrix CI
-//!   runs in release at `SHARD_WORKERS=1`, `2` and `8`;
+//!   runs in release at `SHARD_WORKERS=1`, `2` and `8` — and the two
+//!   large benchmark shapes at 4 workers (release only);
 //! * a proptest drawing random connected topologies, transfer sets,
 //!   fault schedules, and partitions (BFS-grown and arbitrary dense
 //!   assignments);
@@ -321,6 +322,102 @@ fn fixed_scenarios_are_byte_identical_at_every_worker_count() {
                 );
             }
         }
+    }
+}
+
+/// The two sharding-safe shapes the repository benchmark times
+/// (`perfbench`): deep forwarding of two opposing 50k-chunk INRPP
+/// transfers across a six-hop line, and 16 mixed INRPP/AIMD pairs on a
+/// dumbbell with custody and back-pressure at the shared bottleneck.
+fn large_scenarios() -> Vec<Scenario> {
+    let line_topo = Topology::line(6, Rate::mbps(97.3), SimDuration::from_nanos(1_300_017));
+    let ids: Vec<_> = line_topo.node_ids().collect();
+    let line = Scenario {
+        name: "line6-inrpp-deep",
+        cfg: PacketSimConfig {
+            transport: TransportKind::Inrpp(inrpp_no_detour_probe()),
+            horizon: SimDuration::from_secs(8),
+            ..PacketSimConfig::default()
+        },
+        transfers: [(ids[0], ids[5]), (ids[5], ids[0])]
+            .iter()
+            .enumerate()
+            .map(|(i, &(src, dst))| {
+                (
+                    TransferSpec {
+                        flow: i as u64 + 1,
+                        src,
+                        dst,
+                        chunks: 50_000,
+                        start: SimTime::ZERO,
+                    },
+                    FlowTransport::Inrpp,
+                )
+            })
+            .collect(),
+        topo: line_topo,
+    };
+    let pairs = 16usize;
+    let mut transfers = Vec::new();
+    for i in 0..pairs {
+        for (j, kind) in [FlowTransport::Inrpp, FlowTransport::Aimd]
+            .into_iter()
+            .enumerate()
+        {
+            transfers.push((
+                TransferSpec {
+                    flow: (i * 2 + j + 1) as u64,
+                    src: NodeId(i as u32),
+                    dst: NodeId((pairs + 2 + i) as u32),
+                    chunks: 3_200,
+                    start: SimTime::ZERO,
+                },
+                kind,
+            ));
+        }
+    }
+    let dumbbell = Scenario {
+        name: "dumbbell16-mixed-many",
+        topo: Topology::dumbbell(
+            pairs,
+            Rate::mbps(97.3),
+            Rate::mbps(393.9),
+            SimDuration::from_nanos(2_700_031),
+        ),
+        cfg: PacketSimConfig {
+            transport: TransportKind::Mixed {
+                inrpp: inrpp_no_detour_probe(),
+                aimd: AimdConfig::default(),
+            },
+            horizon: SimDuration::from_secs(5),
+            ..PacketSimConfig::default()
+        },
+        transfers,
+    };
+    vec![line, dumbbell]
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "pushes ~140k chunks through the sequential and the sharded \
+              engine — tens of seconds in debug; runs un-ignored in release \
+              (CI's `--release -- --include-ignored` step keeps the gate)"
+)]
+fn large_shapes_are_byte_identical_at_four_workers() {
+    for sc in large_scenarios() {
+        let baseline = run_sequential(&sc);
+        let sharded = run_sharded(&sc, 4, 7);
+        assert_eq!(
+            baseline.0, sharded.0,
+            "{}: report diverged at workers=4 partition seed=7",
+            sc.name
+        );
+        assert_eq!(
+            baseline.1, sharded.1,
+            "{}: probe stream diverged at workers=4 partition seed=7",
+            sc.name
+        );
     }
 }
 
